@@ -13,6 +13,7 @@
 //	BenchmarkOverhead/*    -> §4.2 large-object-space overhead (LOTS vs LOTS-x)
 //	BenchmarkAccessCheck   -> §4.2 20-25 ns access check measurement
 //	BenchmarkViewCost      -> View API redesign: element-wise vs span views (DESIGN.md)
+//	BenchmarkViewRowSum    -> typed view element path, wall-clock ns per element
 //	BenchmarkTable1/*      -> Table 1 platform sweep (scaled; sim-ms extrapolates x64)
 //	BenchmarkMaxSpace      -> §4.3 free-disk exhaustion (scaled)
 //	BenchmarkAblation*     -> DESIGN.md ablation index
@@ -147,6 +148,12 @@ func BenchmarkViewCost(b *testing.B) {
 		b.ReportMetric(r.SimRatio(), "sim-ratio-x")
 	}
 }
+
+// BenchmarkViewRowSum measures the typed view element path on this
+// host: open a read view over a 4096-element int32 row, sum it through
+// At, release. "ns/elem" is the per-element wall-clock cost with the
+// span's single check and pin amortized over the row.
+func BenchmarkViewRowSum(b *testing.B) { harness.BenchViewRowSum(b) }
 
 // BenchmarkTable1 regenerates Table 1 (scaled 64x; sim-ms extrapolates
 // linearly back to the paper's 1114/976/142 second rows).

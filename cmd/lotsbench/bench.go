@@ -55,7 +55,7 @@ type benchFile struct {
 func runBench(outPath, prevPath string) error {
 	bf := benchFile{
 		Schema:  benchSchema,
-		Pinned:  "wire 256B/256KiB roundtrip; barrier 4n x 8obj x 64w x 6ep; viewcost 2048w x 3r x 2p x 3n; leasecost 6rows x 48w x 6r x 4n",
+		Pinned:  "wire 256B/256KiB roundtrip; barrier 4n x 8obj x 64w x 6ep; viewcost 2048w x 3r x 2p x 3n; leasecost 6rows x 48w x 6r x 4n; view row sum 4096 int32",
 		Go:      runtime.Version(),
 		Metrics: map[string]benchMetric{},
 	}
@@ -184,6 +184,15 @@ func runBench(outPath, prevPath string) error {
 	gated("leasecost/fetch_ratio", lc.FetchRatio(), "x", "more")
 	gated("leasecost/lease_epoch_sim_ns", float64(lc.Lease.SimTime.Nanoseconds())/6, "ns", "less")
 	fmt.Printf("leasecost: invalidate/lease fetch ratio %.2fx, lease epoch %s\n", lc.FetchRatio(), lc.Lease.SimTime/6)
+
+	// --- Typed view element path (wall clock, informational) ---------------
+	rs := testing.Benchmark(harness.BenchViewRowSum)
+	if rs.N == 0 {
+		return fmt.Errorf("bench: view row sum benchmark failed")
+	}
+	info("view/row_sum_ns_per_elem", rs.Extra["ns/elem"], "ns/elem", "less")
+	fmt.Printf("view row sum: %.2f ns/elem (%d-element int32 row, open + sum + release)\n",
+		rs.Extra["ns/elem"], harness.ViewRowSumWords)
 
 	// --- Persist and compare -----------------------------------------------
 	prev, prevName, err := loadPrevBench(outPath, prevPath)

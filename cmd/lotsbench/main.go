@@ -19,7 +19,7 @@
 //	lotsbench -exp multiproc [-app sor] [-nodes 4]
 //	lotsbench -exp appmatrix [-nodes 4] [-chaos seed]
 //	lotsbench -exp all
-//	lotsbench -bench [-benchout BENCH_8.json] [-benchprev BENCH_7.json]
+//	lotsbench -bench [-benchout BENCH_9.json] [-benchprev BENCH_8.json]
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	nodes := flag.Int("nodes", 3, "transport experiment cluster size")
 	dropRate := flag.Float64("drop", 0.10, "flowctl experiment: seeded datagram drop probability")
 	benchRun := flag.Bool("bench", false, "run the pinned wire/coalescing benchmarks, write -benchout, and fail on >10% regression of any gated metric vs the previous BENCH_*.json")
-	benchOut := flag.String("benchout", "BENCH_8.json", "bench: output trajectory file")
+	benchOut := flag.String("benchout", "BENCH_9.json", "bench: output trajectory file")
 	benchPrev := flag.String("benchprev", "", "bench: explicit previous trajectory file (default: highest-numbered BENCH_*.json next to -benchout)")
 	flag.Parse()
 

@@ -127,7 +127,7 @@
 // per-peer burst of barrier-round messages into single batched
 // datagrams (fewer wire round-trips, identical simulated time and
 // final state). Both properties are pinned by `lotsbench -bench`,
-// which re-measures the pinned scenarios, writes the BENCH_8.json
+// which re-measures the pinned scenarios, writes the BENCH_9.json
 // trajectory point, and fails on >10% regression of any deterministic
 // metric (see DESIGN.md, "Wire path: pooling and coalescing").
 //

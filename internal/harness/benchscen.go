@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"testing"
 
 	lots "repro"
 )
@@ -93,4 +94,47 @@ func BenchBarrierRound(kind lots.TransportKind, coalesce bool) (BarrierRoundResu
 		SimNS:       int64(c.SimTime()),
 		Epochs:      benchBarrierEpochs,
 	}, nil
+}
+
+// ViewRowSumWords is the row length of the pinned view row-sum
+// micro-benchmark.
+const ViewRowSumWords = 4096
+
+// BenchViewRowSum times the typed view element path on one node: each
+// op opens a read view over a ViewRowSumWords-element int32 row, sums
+// it through At, and releases it. It reports the wall-clock cost per
+// element, view open and release included, as "ns/elem". It backs both
+// BenchmarkViewRowSum and the `lotsbench -bench` view/row_sum point.
+func BenchViewRowSum(b *testing.B) {
+	c, err := lots.NewCluster(lots.DefaultConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Run(func(n *lots.Node) {
+		row := lots.Alloc[int32](n, ViewRowSumWords)
+		fill := make([]int32, ViewRowSumWords)
+		for k := range fill {
+			fill[k] = int32(k)
+		}
+		row.SetN(0, fill)
+		const want = ViewRowSumWords * (ViewRowSumWords - 1) / 2
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v := row.View(0, ViewRowSumWords)
+			sum := 0
+			for k := 0; k < v.Len(); k++ {
+				sum += int(v.At(k))
+			}
+			v.Release()
+			if sum != want {
+				panic(fmt.Sprintf("view row sum = %d, want %d", sum, want))
+			}
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ViewRowSumWords), "ns/elem")
 }

@@ -1,8 +1,7 @@
 package lots
 
 import (
-	"encoding/binary"
-	"math"
+	"unsafe"
 
 	"repro/internal/object"
 )
@@ -86,9 +85,8 @@ func (p Ptr[T]) Get(i int) T {
 	n := p.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c, base := p.locate(i, 1)
-	data := n.viewEnter(c, false)
-	v := getElem[T](data[base:])
+	c, s := p.enter(i, 1, false)
+	v := s[0]
 	n.viewExit(c, false)
 	return v
 }
@@ -98,9 +96,8 @@ func (p Ptr[T]) Set(i int, v T) {
 	n := p.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c, base := p.locate(i, 1)
-	data := n.viewEnter(c, true)
-	putElem(data[base:], v)
+	c, s := p.enter(i, 1, true)
+	s[0] = v
 	n.viewExit(c, true)
 }
 
@@ -121,14 +118,10 @@ func (p Ptr[T]) GetN(i, count int) []T {
 	n := p.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c, base := p.locate(i, count)
-	data := n.viewEnter(c, false)
+	c, s := p.enter(i, count, false)
 	n.chargeChecks(count - 1)
 	out := make([]T, count)
-	es := c.Elem
-	for k := 0; k < count; k++ {
-		out[k] = getElem[T](data[base+k*es:])
-	}
+	copy(out, s)
 	n.viewExit(c, false)
 	return out
 }
@@ -143,13 +136,9 @@ func (p Ptr[T]) SetN(i int, vals []T) {
 	n := p.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c, base := p.locate(i, len(vals))
-	data := n.viewEnter(c, true)
+	c, s := p.enter(i, len(vals), true)
 	n.chargeChecks(len(vals) - 1)
-	es := c.Elem
-	for k, v := range vals {
-		putElem(data[base+k*es:], v)
-	}
+	copy(s, vals)
 	n.viewExit(c, true)
 }
 
@@ -187,6 +176,16 @@ func (p Ptr[T]) locate(i, count int) (*object.Control, int) {
 			p.n.id, p.id, first, first+count, c.Size/c.Elem)
 	}
 	return c, first * c.Elem
+}
+
+// enter opens elements [i, i+count) as one span — bounds check, then
+// viewEnter's access (or write) check and pin — and returns the span's
+// mapped bytes aliased as []T. Caller holds n.mu and must viewExit(c,
+// rw).
+func (p Ptr[T]) enter(i, count int, rw bool) (*object.Control, []T) {
+	c, base := p.locate(i, count)
+	data := p.n.viewEnter(c, rw)
+	return c, alias[T](p.n, c, data[base:base+count*c.Elem])
 }
 
 // Matrix is a 2-D shared array. Following the paper, each row is a
@@ -251,56 +250,32 @@ func (m Matrix[T]) SetRow(r int, vals []T) {
 	v.Release()
 }
 
-// ---- element codecs -----------------------------------------------------
+// ---- element layout -----------------------------------------------------
 
 // elemSize returns the byte size of T.
 func elemSize[T Elem]() int {
 	var z T
-	switch any(z).(type) {
-	case byte:
-		return 1
-	case int32, uint32, float32:
-		return 4
-	default: // int64, uint64, float64
-		return 8
-	}
+	return int(unsafe.Sizeof(z))
 }
 
-func putElem[T Elem](b []byte, v T) {
-	switch x := any(v).(type) {
-	case byte:
-		b[0] = x
-	case int32:
-		binary.LittleEndian.PutUint32(b, uint32(x))
-	case uint32:
-		binary.LittleEndian.PutUint32(b, x)
-	case float32:
-		binary.LittleEndian.PutUint32(b, math.Float32bits(x))
-	case int64:
-		binary.LittleEndian.PutUint64(b, uint64(x))
-	case uint64:
-		binary.LittleEndian.PutUint64(b, x)
-	case float64:
-		binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+// alias reinterprets the span b of object c's mapped bytes as []T,
+// without copying. Object bytes are little-endian (the wire, diff,
+// spill and digest formats all depend on it; endian_big.go refuses
+// big-endian builds), so on the supported GOARCHes the native []T
+// layout is exactly that encoding. Both backings of object bytes — the
+// DMM arena at its 8-byte granule, and a per-object heap slice —
+// start every object on a boundary that suits its element type; a span
+// that is not aligned to T would fault or tear on some GOARCHes and is
+// a fatal error, not a slow path.
+func alias[T Elem](n *Node, c *object.Control, b []byte) []T {
+	if len(b) == 0 {
+		return nil
 	}
-}
-
-func getElem[T Elem](b []byte) T {
 	var z T
-	switch any(z).(type) {
-	case byte:
-		return any(b[0]).(T)
-	case int32:
-		return any(int32(binary.LittleEndian.Uint32(b))).(T)
-	case uint32:
-		return any(binary.LittleEndian.Uint32(b)).(T)
-	case float32:
-		return any(math.Float32frombits(binary.LittleEndian.Uint32(b))).(T)
-	case int64:
-		return any(int64(binary.LittleEndian.Uint64(b))).(T)
-	case uint64:
-		return any(binary.LittleEndian.Uint64(b)).(T)
-	default:
-		return any(math.Float64frombits(binary.LittleEndian.Uint64(b))).(T)
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%unsafe.Alignof(z) != 0 {
+		n.fatalf("lots: node %d: object %d: span at %p misaligned for %d-byte elements",
+			n.id, c.ID, p, unsafe.Alignof(z))
 	}
+	return unsafe.Slice((*T)(p), len(b)/int(unsafe.Sizeof(z)))
 }

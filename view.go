@@ -44,18 +44,22 @@ import "repro/internal/object"
 // View is a pinned window onto count elements of a shared object. The
 // zero value is invalid; obtain Views from Ptr.View/Ptr.ViewRW (or
 // Matrix.RowView/RowViewRW) and Release them when done.
+//
+// s aliases the span's mapped object bytes as []T (see alias), so At
+// and Set are a released branch plus a bounds-checked slice access and
+// inline at the call site. The struct must stay this small: callers
+// that box a View in an interface copy it on every method call.
 type View[T Elem] struct {
-	n     *Node
-	c     *object.Control
-	bytes []byte // the span's mapped bytes, len == count*elem
-	elem  int
-	rw    bool
-	rel   *viewRelease // shared by Slice aliases
+	s  []T
+	st *viewState // shared by Slice aliases
 }
 
-// viewRelease is the release state shared between a View and its
-// Slice-derived aliases: releasing any alias releases the span once.
-type viewRelease struct {
+// viewState is the state a View shares with its Slice-derived aliases:
+// releasing any alias releases the span once.
+type viewState struct {
+	n        *Node
+	c        *object.Control
+	rw       bool
 	released bool
 }
 
@@ -78,100 +82,97 @@ func (p Ptr[T]) makeView(i, count int, rw bool) View[T] {
 	n := p.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c, base := p.locate(i, count)
-	data := n.viewEnter(c, rw)
-	return View[T]{
-		n:     n,
-		c:     c,
-		bytes: data[base : base+count*c.Elem : base+count*c.Elem],
-		elem:  c.Elem,
-		rw:    rw,
-		rel:   &viewRelease{},
-	}
+	c, s := p.enter(i, count, rw)
+	return View[T]{s: s, st: &viewState{n: n, c: c, rw: rw}}
 }
 
 // Release unpins the span and, for RW views, reopens fetch service for
 // the object. Releasing twice (through any Slice alias) is a fatal
 // runtime error, like an unbalanced unpin.
 func (v View[T]) Release() {
-	n := v.n
+	st := v.st
+	n := st.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if v.rel.released {
-		n.fatalf("lots: node %d: double Release of view on object %d", n.id, v.c.ID)
+	if st.released {
+		n.fatalf("lots: node %d: double Release of view on object %d", n.id, st.c.ID)
 	}
-	v.rel.released = true
-	n.viewExit(v.c, v.rw)
+	st.released = true
+	n.viewExit(st.c, st.rw)
 }
 
 // Len returns the number of elements in the view.
-func (v View[T]) Len() int { return len(v.bytes) / v.elem }
+func (v View[T]) Len() int { return len(v.s) }
 
 // RW reports whether the view permits writes.
-func (v View[T]) RW() bool { return v.rw }
+func (v View[T]) RW() bool { return v.st.rw }
 
 // ObjectID exposes the underlying shared object ID (diagnostics).
-func (v View[T]) ObjectID() uint64 { return uint64(v.c.ID) }
+func (v View[T]) ObjectID() uint64 { return uint64(v.st.c.ID) }
 
 // At reads element k. No lock, no access check: the span was checked
 // and pinned at creation.
 func (v View[T]) At(k int) T {
-	v.use()
-	return getElem[T](v.bytes[k*v.elem:])
+	v.st.use()
+	return v.s[k]
 }
 
 // Set writes element k. The view must have been created with ViewRW.
 func (v View[T]) Set(k int, x T) {
-	v.use()
-	if !v.rw {
-		v.n.fatalf("lots: node %d: Set through read-only view of object %d", v.n.id, v.c.ID)
+	if st := v.st; st.released || !st.rw {
+		st.misuse("Set")
 	}
-	putElem(v.bytes[k*v.elem:], x)
+	v.s[k] = x
 }
 
 // Slice returns a sub-view of elements [lo, hi) sharing this view's pin
 // and release state: releasing either the parent or the slice releases
 // the whole span, once.
 func (v View[T]) Slice(lo, hi int) View[T] {
-	v.use()
-	if lo < 0 || hi < lo || hi > v.Len() {
-		v.n.fatalf("lots: node %d: view slice [%d,%d) of %d elements", v.n.id, lo, hi, v.Len())
+	st := v.st
+	st.use()
+	if lo < 0 || hi < lo || hi > len(v.s) {
+		st.n.fatalf("lots: node %d: view slice [%d,%d) of %d elements", st.n.id, lo, hi, len(v.s))
 	}
-	v.bytes = v.bytes[lo*v.elem : hi*v.elem : hi*v.elem]
+	v.s = v.s[lo:hi:hi]
 	return v
 }
 
 // CopyTo copies min(len(dst), v.Len()) elements out of the view and
 // returns the number copied.
 func (v View[T]) CopyTo(dst []T) int {
-	v.use()
-	m := min(len(dst), v.Len())
-	for k := 0; k < m; k++ {
-		dst[k] = getElem[T](v.bytes[k*v.elem:])
-	}
-	return m
+	v.st.use()
+	return copy(dst, v.s)
 }
 
 // CopyFrom copies min(len(src), v.Len()) elements into the view and
 // returns the number copied. The view must have been created with
 // ViewRW.
 func (v View[T]) CopyFrom(src []T) int {
-	v.use()
-	if !v.rw {
-		v.n.fatalf("lots: node %d: CopyFrom through read-only view of object %d", v.n.id, v.c.ID)
+	if st := v.st; st.released || !st.rw {
+		st.misuse("CopyFrom")
 	}
-	m := min(len(src), v.Len())
-	for k := 0; k < m; k++ {
-		putElem(v.bytes[k*v.elem:], src[k])
-	}
-	return m
+	return copy(v.s, src)
 }
 
 // use aborts on access through a released view — the one residual
 // per-access branch, which costs a load and a predictable compare
 // rather than a mutex and a table lookup.
-func (v View[T]) use() {
-	if v.rel.released {
-		v.n.fatalf("lots: node %d: access through released view of object %d", v.n.id, v.c.ID)
+func (st *viewState) use() {
+	if st.released {
+		st.misuse("access")
 	}
+}
+
+// misuse aborts an access through a released view, or a write through
+// a read-only one. It is kept out of line so that At and Set stay
+// small enough to inline at the call site.
+//
+//go:noinline
+func (st *viewState) misuse(op string) {
+	n := st.n
+	if st.released {
+		n.fatalf("lots: node %d: %s through released view of object %d", n.id, op, st.c.ID)
+	}
+	n.fatalf("lots: node %d: %s through read-only view of object %d", n.id, op, st.c.ID)
 }
