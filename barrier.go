@@ -165,6 +165,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 		bm.rbMsgs = nil
 		bm.rbMaxArrive = 0
 		n.mu.Unlock()
+		selfLast(msgs, n.id)
 		for _, am := range msgs {
 			n.reply(am, wire.TBarrierExit, (&wire.Buffer{}).Bool(true).Bytes(), at)
 		}
@@ -297,6 +298,7 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 	bm.writers = make(map[object.ID]map[int]bool)
 	n.mu.Unlock()
 
+	selfLast(msgs, n.id)
 	for _, am := range msgs {
 		v := int(am.From)
 		var w wire.Buffer
@@ -323,6 +325,20 @@ func (n *Node) serveBarrierArrive(m wire.Message) {
 			w.U16(e.l).U32(e.v)
 		}
 		n.reply(am, wire.TBarrierExit, w.Bytes(), exitAt)
+	}
+}
+
+// selfLast moves the manager's own arrival to the end of msgs. Its
+// exit reply releases the manager's rank, which may then flush and
+// exit its process; every peer's exit must already be handed to the
+// transport by then, or Flush cannot see it and the peer waits forever.
+func selfLast(msgs []wire.Message, self int) {
+	for i, m := range msgs {
+		if int(m.From) == self {
+			copy(msgs[i:], msgs[i+1:])
+			msgs[len(msgs)-1] = m
+			return
+		}
 	}
 }
 

@@ -164,9 +164,12 @@ func runBench(outPath, prevPath string) error {
 	info("barrier_round/udp_serial/datagrams", float64(udpSerial.Datagrams), "datagrams", "less")
 	info("barrier_round/udp_coalesced/datagrams", float64(udpCoal.Datagrams), "datagrams", "less")
 	info("barrier_round/udp_coalesced/batches", float64(udpCoal.Batches), "batches", "more")
-	fmt.Printf("udp serial:    %4d msgs %4d datagrams\n", udpSerial.Msgs, udpSerial.Datagrams)
-	fmt.Printf("udp coalesced: %4d msgs %4d datagrams  (%d batches)\n",
-		udpCoal.Msgs, udpCoal.Datagrams, udpCoal.Batches)
+	info("barrier_round/udp_serial/ack_datagrams", float64(udpSerial.AckDgrams), "datagrams", "less")
+	info("barrier_round/udp_coalesced/ack_datagrams", float64(udpCoal.AckDgrams), "datagrams", "less")
+	fmt.Printf("udp serial:    %4d msgs %4d datagrams %4d ack datagrams\n",
+		udpSerial.Msgs, udpSerial.Datagrams, udpSerial.AckDgrams)
+	fmt.Printf("udp coalesced: %4d msgs %4d datagrams %4d ack datagrams  (%d batches)\n",
+		udpCoal.Msgs, udpCoal.Datagrams, udpCoal.AckDgrams, udpCoal.Batches)
 
 	// --- View / lease cost epochs (simulated, deterministic) ---------------
 	fmt.Println("\n== bench: viewcost / leasecost epochs ==")

@@ -19,7 +19,7 @@
 //	lotsbench -exp multiproc [-app sor] [-nodes 4]
 //	lotsbench -exp appmatrix [-nodes 4] [-chaos seed]
 //	lotsbench -exp all
-//	lotsbench -bench [-benchout BENCH_9.json] [-benchprev BENCH_8.json]
+//	lotsbench -bench [-benchout BENCH_10.json] [-benchprev BENCH_9.json]
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	nodes := flag.Int("nodes", 3, "transport experiment cluster size")
 	dropRate := flag.Float64("drop", 0.10, "flowctl experiment: seeded datagram drop probability")
 	benchRun := flag.Bool("bench", false, "run the pinned wire/coalescing benchmarks, write -benchout, and fail on >10% regression of any gated metric vs the previous BENCH_*.json")
-	benchOut := flag.String("benchout", "BENCH_9.json", "bench: output trajectory file")
+	benchOut := flag.String("benchout", "BENCH_10.json", "bench: output trajectory file")
 	benchPrev := flag.String("benchprev", "", "bench: explicit previous trajectory file (default: highest-numbered BENCH_*.json next to -benchout)")
 	flag.Parse()
 
@@ -332,8 +332,9 @@ func runTransportSmoke(transportName string, chaosSeed int64, nodes int) error {
 	fmt.Printf("Transport smoke — %s%s, %d nodes, %d lock rounds\n",
 		transportName, map[bool]string{true: "+chaos", false: ""}[chaosSeed != 0], nodes, rounds)
 	fmt.Printf("  verified: every node sees %d in all %d words\n", rounds*nodes, words)
-	fmt.Printf("  msgs=%d frags=%d bytes=%d wall=%v\n",
-		total.MsgsSent, total.FragsSent, total.BytesSent, wall.Round(time.Millisecond))
+	fmt.Printf("  msgs=%d frags=%d bytes=%d acks=%d piggybacked=%d wall=%v\n",
+		total.MsgsSent, total.FragsSent, total.BytesSent, total.AcksSent, total.AcksPiggybacked,
+		wall.Round(time.Millisecond))
 	if chaosStats != nil {
 		fmt.Printf("  faults injected: drop=%d dup=%d reorder=%d delay=%d partition=%d connkill=%d\n",
 			chaosStats.Dropped.Load(), chaosStats.Duplicated.Load(), chaosStats.Reordered.Load(),
@@ -360,7 +361,7 @@ func runFlowCtl(seed int64, drop float64) error {
 	type result struct {
 		wall                time.Duration
 		retrans, fast, rtts int64
-		frags               int64
+		frags, acks, piggy  int64
 	}
 	run := func(mode transport.FlowMode) (result, error) {
 		addrs, err := transport.FreeLocalAddrs(2)
@@ -445,6 +446,8 @@ func runFlowCtl(seed int64, drop float64) error {
 			fast:    counters[0].FastRetrans.Load(),
 			rtts:    counters[0].RTTSamples.Load(),
 			frags:   counters[0].FragsSent.Load(),
+			acks:    counters[1].AcksSent.Load(),
+			piggy:   counters[1].AcksPiggybacked.Load(),
 		}, nil
 	}
 
@@ -459,12 +462,14 @@ func runFlowCtl(seed int64, drop float64) error {
 	fmt.Printf("Flow control — cumulative-ack baseline vs adaptive RTO + SACK\n")
 	fmt.Printf("  workload: %d x %d KB + %d small msgs over UDP, seed=%d drop=%.0f%% reorder=10%%\n",
 		bigMsgs, bigSize>>10, smallMsgs, seed, drop*100)
-	fmt.Printf("  %-22s %10s %12s %12s %12s\n", "mode", "wall", "frags", "retrans", "fast-rtx")
-	fmt.Printf("  %-22s %10v %12d %12d %12s\n", "cumulative (baseline)",
-		base.wall.Round(time.Millisecond), base.frags, base.retrans, "-")
-	fmt.Printf("  %-22s %10v %12d %12d %12d\n", "adaptive RTO + SACK",
-		sack.wall.Round(time.Millisecond), sack.frags, sack.retrans, sack.fast)
+	fmt.Printf("  %-22s %10s %12s %12s %12s %12s\n", "mode", "wall", "frags", "retrans", "fast-rtx", "acks")
+	fmt.Printf("  %-22s %10v %12d %12d %12s %12d\n", "cumulative (baseline)",
+		base.wall.Round(time.Millisecond), base.frags, base.retrans, "-", base.acks)
+	fmt.Printf("  %-22s %10v %12d %12d %12d %12d\n", "adaptive RTO + SACK",
+		sack.wall.Round(time.Millisecond), sack.frags, sack.retrans, sack.fast, sack.acks)
 	fmt.Printf("  rtt samples (sack mode): %d\n", sack.rtts)
+	fmt.Printf("  receiver acks (sack mode): %d standalone, %d piggybacked, %.2f standalone per data frame\n",
+		sack.acks, sack.piggy, float64(sack.acks)/float64(max(sack.frags, 1)))
 	if base.retrans > 0 {
 		fmt.Printf("  retransmitted frames: %.1fx fewer; completion: %.2fx faster\n",
 			float64(base.retrans)/float64(max(sack.retrans, 1)),

@@ -21,6 +21,7 @@ import (
 type BarrierRoundResult struct {
 	Msgs        int64 // logical protocol messages sent
 	Datagrams   int64 // wire fragments (one datagram/write each)
+	AckDgrams   int64 // standalone flow-control ack datagrams (UDP only)
 	Bytes       int64 // encoded bytes on the wire
 	Batches     int64 // coalesced TBatch envelopes
 	BatchedMsgs int64 // messages carried inside batches
@@ -88,6 +89,7 @@ func BenchBarrierRound(kind lots.TransportKind, coalesce bool) (BarrierRoundResu
 	return BarrierRoundResult{
 		Msgs:        t.MsgsSent,
 		Datagrams:   t.FragsSent,
+		AckDgrams:   t.AcksSent,
 		Bytes:       t.BytesSent,
 		Batches:     t.BatchesSent,
 		BatchedMsgs: t.BatchedMsgs,

@@ -44,6 +44,8 @@ var snapshotFields = []struct {
 	{"frags_retrans", func(s *Snapshot) int64 { return s.FragsRetrans }},
 	{"fast_retrans", func(s *Snapshot) int64 { return s.FastRetrans }},
 	{"rtt_samples", func(s *Snapshot) int64 { return s.RTTSamples }},
+	{"acks_sent", func(s *Snapshot) int64 { return s.AcksSent }},
+	{"acks_piggybacked", func(s *Snapshot) int64 { return s.AcksPiggybacked }},
 	{"bytes_sent", func(s *Snapshot) int64 { return s.BytesSent }},
 	{"bytes_recv", func(s *Snapshot) int64 { return s.BytesRecv }},
 	{"access_checks", func(s *Snapshot) int64 { return s.AccessChecks }},

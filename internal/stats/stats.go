@@ -59,6 +59,10 @@ type Counters struct {
 	PageFaults    atomic.Int64 // JIAJIA baseline: simulated SIGSEGV faults
 	FalseShares   atomic.Int64 // JIAJIA baseline: write faults on pages holding >1 object
 	PinDenials    atomic.Int64 // evictions skipped because the victim was pinned
+	// New counters go last: moving the per-access counters above onto
+	// other cache lines measurably slows the out-of-core access path.
+	AcksSent        atomic.Int64 // standalone UDP ack datagrams written
+	AcksPiggybacked atomic.Int64 // owed UDP acks carried by a data frame instead
 }
 
 // Snapshot is a plain-value copy of Counters, safe to compare and print.
@@ -67,6 +71,7 @@ type Snapshot struct {
 	BatchesSent, BatchedMsgs          int64
 	FragsRetrans, FastRetrans         int64
 	RTTSamples                        int64
+	AcksSent, AcksPiggybacked         int64
 	BytesSent, BytesRecv              int64
 	AccessChecks, Views               int64
 	MapIns, SwapOuts                  int64
@@ -85,82 +90,86 @@ type Snapshot struct {
 // Snap returns a point-in-time copy of the counters.
 func (c *Counters) Snap() Snapshot {
 	return Snapshot{
-		MsgsSent:       c.MsgsSent.Load(),
-		MsgsRecv:       c.MsgsRecv.Load(),
-		BatchesSent:    c.BatchesSent.Load(),
-		BatchedMsgs:    c.BatchedMsgs.Load(),
-		FragsSent:      c.FragsSent.Load(),
-		FragsRetrans:   c.FragsRetrans.Load(),
-		FastRetrans:    c.FastRetrans.Load(),
-		RTTSamples:     c.RTTSamples.Load(),
-		BytesSent:      c.BytesSent.Load(),
-		BytesRecv:      c.BytesRecv.Load(),
-		AccessChecks:   c.AccessChecks.Load(),
-		Views:          c.Views.Load(),
-		MapIns:         c.MapIns.Load(),
-		SwapOuts:       c.SwapOuts.Load(),
-		DiskReads:      c.DiskReads.Load(),
-		DiskWrites:     c.DiskWrites.Load(),
-		DiskReadBytes:  c.DiskReadBytes.Load(),
-		DiskWriteBytes: c.DiskWriteByte.Load(),
-		DiffsMade:      c.DiffsMade.Load(),
-		DiffBytes:      c.DiffBytes.Load(),
-		ObjFetches:     c.ObjFetches.Load(),
-		LockAcquires:   c.LockAcquires.Load(),
-		Barriers:       c.Barriers.Load(),
-		HomeMigrates:   c.HomeMigrates.Load(),
-		Invalidations:  c.Invalidations.Load(),
-		LeasesGranted:  c.LeasesGranted.Load(),
-		LeaseHits:      c.LeaseHits.Load(),
-		LeaseDemotes:   c.LeaseDemotes.Load(),
-		Ckpts:          c.Ckpts.Load(),
-		CkptBytes:      c.CkptBytes.Load(),
-		CkptSkipped:    c.CkptSkipped.Load(),
-		Rehomes:        c.Rehomes.Load(),
-		PageFaults:     c.PageFaults.Load(),
-		FalseShares:    c.FalseShares.Load(),
-		PinDenls:       c.PinDenials.Load(),
+		MsgsSent:        c.MsgsSent.Load(),
+		MsgsRecv:        c.MsgsRecv.Load(),
+		BatchesSent:     c.BatchesSent.Load(),
+		BatchedMsgs:     c.BatchedMsgs.Load(),
+		FragsSent:       c.FragsSent.Load(),
+		FragsRetrans:    c.FragsRetrans.Load(),
+		FastRetrans:     c.FastRetrans.Load(),
+		RTTSamples:      c.RTTSamples.Load(),
+		AcksSent:        c.AcksSent.Load(),
+		AcksPiggybacked: c.AcksPiggybacked.Load(),
+		BytesSent:       c.BytesSent.Load(),
+		BytesRecv:       c.BytesRecv.Load(),
+		AccessChecks:    c.AccessChecks.Load(),
+		Views:           c.Views.Load(),
+		MapIns:          c.MapIns.Load(),
+		SwapOuts:        c.SwapOuts.Load(),
+		DiskReads:       c.DiskReads.Load(),
+		DiskWrites:      c.DiskWrites.Load(),
+		DiskReadBytes:   c.DiskReadBytes.Load(),
+		DiskWriteBytes:  c.DiskWriteByte.Load(),
+		DiffsMade:       c.DiffsMade.Load(),
+		DiffBytes:       c.DiffBytes.Load(),
+		ObjFetches:      c.ObjFetches.Load(),
+		LockAcquires:    c.LockAcquires.Load(),
+		Barriers:        c.Barriers.Load(),
+		HomeMigrates:    c.HomeMigrates.Load(),
+		Invalidations:   c.Invalidations.Load(),
+		LeasesGranted:   c.LeasesGranted.Load(),
+		LeaseHits:       c.LeaseHits.Load(),
+		LeaseDemotes:    c.LeaseDemotes.Load(),
+		Ckpts:           c.Ckpts.Load(),
+		CkptBytes:       c.CkptBytes.Load(),
+		CkptSkipped:     c.CkptSkipped.Load(),
+		Rehomes:         c.Rehomes.Load(),
+		PageFaults:      c.PageFaults.Load(),
+		FalseShares:     c.FalseShares.Load(),
+		PinDenls:        c.PinDenials.Load(),
 	}
 }
 
 // Sub returns s - o field-wise, for measuring a region of execution.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		MsgsSent:       s.MsgsSent - o.MsgsSent,
-		MsgsRecv:       s.MsgsRecv - o.MsgsRecv,
-		BatchesSent:    s.BatchesSent - o.BatchesSent,
-		BatchedMsgs:    s.BatchedMsgs - o.BatchedMsgs,
-		FragsSent:      s.FragsSent - o.FragsSent,
-		FragsRetrans:   s.FragsRetrans - o.FragsRetrans,
-		FastRetrans:    s.FastRetrans - o.FastRetrans,
-		RTTSamples:     s.RTTSamples - o.RTTSamples,
-		BytesSent:      s.BytesSent - o.BytesSent,
-		BytesRecv:      s.BytesRecv - o.BytesRecv,
-		AccessChecks:   s.AccessChecks - o.AccessChecks,
-		Views:          s.Views - o.Views,
-		MapIns:         s.MapIns - o.MapIns,
-		SwapOuts:       s.SwapOuts - o.SwapOuts,
-		DiskReads:      s.DiskReads - o.DiskReads,
-		DiskWrites:     s.DiskWrites - o.DiskWrites,
-		DiskReadBytes:  s.DiskReadBytes - o.DiskReadBytes,
-		DiskWriteBytes: s.DiskWriteBytes - o.DiskWriteBytes,
-		DiffsMade:      s.DiffsMade - o.DiffsMade,
-		DiffBytes:      s.DiffBytes - o.DiffBytes,
-		ObjFetches:     s.ObjFetches - o.ObjFetches,
-		LockAcquires:   s.LockAcquires - o.LockAcquires,
-		Barriers:       s.Barriers - o.Barriers,
-		HomeMigrates:   s.HomeMigrates - o.HomeMigrates,
-		Invalidations:  s.Invalidations - o.Invalidations,
-		LeasesGranted:  s.LeasesGranted - o.LeasesGranted,
-		LeaseHits:      s.LeaseHits - o.LeaseHits,
-		LeaseDemotes:   s.LeaseDemotes - o.LeaseDemotes,
-		Ckpts:          s.Ckpts - o.Ckpts,
-		CkptBytes:      s.CkptBytes - o.CkptBytes,
-		CkptSkipped:    s.CkptSkipped - o.CkptSkipped,
-		Rehomes:        s.Rehomes - o.Rehomes,
-		PageFaults:     s.PageFaults - o.PageFaults,
-		FalseShares:    s.FalseShares - o.FalseShares,
-		PinDenls:       s.PinDenls - o.PinDenls,
+		MsgsSent:        s.MsgsSent - o.MsgsSent,
+		MsgsRecv:        s.MsgsRecv - o.MsgsRecv,
+		BatchesSent:     s.BatchesSent - o.BatchesSent,
+		BatchedMsgs:     s.BatchedMsgs - o.BatchedMsgs,
+		FragsSent:       s.FragsSent - o.FragsSent,
+		FragsRetrans:    s.FragsRetrans - o.FragsRetrans,
+		FastRetrans:     s.FastRetrans - o.FastRetrans,
+		RTTSamples:      s.RTTSamples - o.RTTSamples,
+		AcksSent:        s.AcksSent - o.AcksSent,
+		AcksPiggybacked: s.AcksPiggybacked - o.AcksPiggybacked,
+		BytesSent:       s.BytesSent - o.BytesSent,
+		BytesRecv:       s.BytesRecv - o.BytesRecv,
+		AccessChecks:    s.AccessChecks - o.AccessChecks,
+		Views:           s.Views - o.Views,
+		MapIns:          s.MapIns - o.MapIns,
+		SwapOuts:        s.SwapOuts - o.SwapOuts,
+		DiskReads:       s.DiskReads - o.DiskReads,
+		DiskWrites:      s.DiskWrites - o.DiskWrites,
+		DiskReadBytes:   s.DiskReadBytes - o.DiskReadBytes,
+		DiskWriteBytes:  s.DiskWriteBytes - o.DiskWriteBytes,
+		DiffsMade:       s.DiffsMade - o.DiffsMade,
+		DiffBytes:       s.DiffBytes - o.DiffBytes,
+		ObjFetches:      s.ObjFetches - o.ObjFetches,
+		LockAcquires:    s.LockAcquires - o.LockAcquires,
+		Barriers:        s.Barriers - o.Barriers,
+		HomeMigrates:    s.HomeMigrates - o.HomeMigrates,
+		Invalidations:   s.Invalidations - o.Invalidations,
+		LeasesGranted:   s.LeasesGranted - o.LeasesGranted,
+		LeaseHits:       s.LeaseHits - o.LeaseHits,
+		LeaseDemotes:    s.LeaseDemotes - o.LeaseDemotes,
+		Ckpts:           s.Ckpts - o.Ckpts,
+		CkptBytes:       s.CkptBytes - o.CkptBytes,
+		CkptSkipped:     s.CkptSkipped - o.CkptSkipped,
+		Rehomes:         s.Rehomes - o.Rehomes,
+		PageFaults:      s.PageFaults - o.PageFaults,
+		FalseShares:     s.FalseShares - o.FalseShares,
+		PinDenls:        s.PinDenls - o.PinDenls,
 	}
 }
 
@@ -182,6 +191,7 @@ func (s Snapshot) String() string {
 		{"frags_sent", s.FragsSent},
 		{"frags_retrans", s.FragsRetrans}, {"fast_retrans", s.FastRetrans},
 		{"rtt_samples", s.RTTSamples},
+		{"acks_sent", s.AcksSent}, {"acks_piggybacked", s.AcksPiggybacked},
 		{"bytes_sent", s.BytesSent}, {"bytes_recv", s.BytesRecv},
 		{"access_checks", s.AccessChecks}, {"views", s.Views},
 		{"map_ins", s.MapIns}, {"swap_outs", s.SwapOuts},

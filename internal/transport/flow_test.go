@@ -197,31 +197,7 @@ func TestReceiveByteAccountingConsistent(t *testing.T) {
 // set, and the third duplicate cumulative ack must fast-retransmit the
 // first hole exactly once.
 func TestUDPSACKAndFastRetransmit(t *testing.T) {
-	addrs, err := FreeLocalAddrs(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bind the peer address with a raw socket that never replies, so
-	// the endpoint's frames leave cleanly but no real acks interfere.
-	peerAddr, err := net.ResolveUDPAddr("udp", addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, err := net.ListenUDP("udp", peerAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	counters := &stats.Counters{}
-	e0, err := NewUDPEndpointOptions(0, addrs, UDPOptions{
-		Counters: counters,
-		// Park the retransmission clock so only handleAck acts.
-		RTO: time.Hour, MinRTO: time.Hour, MaxRTO: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e0.Close()
+	e0, _, counters := newUDPSinkEndpoint(t)
 
 	// Six single-fragment messages -> seqs 0..5 in flight to node 1.
 	for i := 0; i < 6; i++ {
@@ -418,7 +394,247 @@ func TestUDPExtremeReorderSoakBoundedOOO(t *testing.T) {
 	if hw > int(e1.window) {
 		t.Fatalf("ooo high water %d exceeded window %d under reordering soak", hw, e1.window)
 	}
-	t.Logf("soak: ooo high water %d/%d, retrans=%d fast=%d rtt_samples=%d",
+	// Delayed acks must not starve fast retransmit: out-of-order frames
+	// are still acked at once, so the sender sees duplicate acks.
+	if counters[0].FastRetrans.Load() == 0 {
+		t.Error("no fast retransmit under 5% drop and 50% reordering")
+	}
+	t.Logf("soak: ooo high water %d/%d, retrans=%d fast=%d rtt_samples=%d acks=%d piggybacked=%d",
 		hw, e1.window, counters[0].FragsRetrans.Load(),
-		counters[0].FastRetrans.Load(), counters[0].RTTSamples.Load())
+		counters[0].FastRetrans.Load(), counters[0].RTTSamples.Load(),
+		counters[1].AcksSent.Load(), counters[1].AcksPiggybacked.Load())
+}
+
+// newUDPSinkEndpoint binds endpoint 0 of a two-node cluster whose peer
+// address is held by a raw socket that never acks on its own, with the
+// retransmission clock parked, so a test alone decides which acks and
+// data frames reach the endpoint.
+func newUDPSinkEndpoint(t *testing.T) (*UDPEndpoint, *net.UDPConn, *stats.Counters) {
+	t.Helper()
+	addrs, err := FreeLocalAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerAddr, err := net.ResolveUDPAddr("udp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := net.ListenUDP("udp", peerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sink.Close() })
+	counters := &stats.Counters{}
+	e0, err := NewUDPEndpointOptions(0, addrs, UDPOptions{
+		Counters: counters,
+		RTO:      time.Hour, MinRTO: time.Hour, MaxRTO: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e0.Close() })
+	return e0, sink, counters
+}
+
+// injectData writes one single-fragment message from the sink to e0 as
+// a data frame with the given sequence number and piggybacked ack, and
+// waits until e0 has delivered it.
+func injectData(t *testing.T, e0 *UDPEndpoint, sink *net.UDPConn, seq, ack uint32) {
+	t.Helper()
+	m := wire.Message{Type: wire.TJDiff, From: 1, To: 0, Payload: []byte{byte(seq)}}
+	frags := wire.Fragment(wire.Encode(m), uint64(seq)<<16|1)
+	if len(frags) != 1 {
+		t.Fatalf("want one fragment, got %d", len(frags))
+	}
+	to, err := net.ResolveUDPAddr("udp", e0.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.WriteToUDP(makeFrame(frameData, 1, seq, ack, frags[0]), to); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := recvTimeout(t, e0, 5*time.Second); !ok || got.Payload[0] != byte(seq) {
+		t.Fatalf("injected frame %d not delivered: ok=%v %+v", seq, ok, got)
+	}
+}
+
+// TestUDPPingPongPiggybacksAcks runs a request/response exchange on a
+// clean link: every data frame carries the ack its reply would
+// otherwise need, so standalone ack datagrams stay a small fraction of
+// the round trips. The delayed-ack bound is widened (MinRTO/8 = 2ms)
+// so a slow scheduler does not turn piggybacks into timer acks.
+func TestUDPPingPongPiggybacksAcks(t *testing.T) {
+	const rounds = 200
+	e0, e1, counters := newUDPPair(t, UDPOptions{MinRTO: 16 * time.Millisecond})
+	go func() {
+		for i := 0; i < rounds; i++ {
+			m, ok := e1.Recv()
+			if !ok {
+				return
+			}
+			if err := e1.Send(wire.Message{Type: wire.TAck, To: 0, Payload: m.Payload}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if err := e0.Send(wire.Message{Type: wire.TLockReq, To: 1, Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := recvTimeout(t, e0, 5*time.Second); !ok || m.Payload[0] != byte(i) {
+			t.Fatalf("round %d: reply lost or out of order: ok=%v %+v", i, ok, m)
+		}
+	}
+	if err := e0.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	acks := counters[0].AcksSent.Load() + counters[1].AcksSent.Load()
+	piggy := counters[0].AcksPiggybacked.Load() + counters[1].AcksPiggybacked.Load()
+	if acks > rounds/4 {
+		t.Fatalf("%d round trips sent %d standalone acks, want <= %d", rounds, acks, rounds/4)
+	}
+	if piggy < rounds {
+		t.Errorf("only %d acks piggybacked over %d round trips", piggy, rounds)
+	}
+	t.Logf("%d round trips: %d standalone acks, %d piggybacked", rounds, acks, piggy)
+}
+
+// TestUDPOneWayMessageAcked sends one message with no reverse traffic
+// to carry its ack: the delayed-ack timer must send it well inside the
+// retransmission timeout.
+func TestUDPOneWayMessageAcked(t *testing.T) {
+	e0, e1, counters := newUDPPair(t, UDPOptions{RTO: time.Second, MinRTO: 2 * time.Millisecond})
+	if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte("one-way")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvTimeout(t, e1, 5*time.Second); !ok {
+		t.Fatal("message lost")
+	}
+	if err := e0.Flush(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters[1].AcksSent.Load(); got != 1 {
+		t.Errorf("receiver sent %d standalone acks, want 1 (the delayed ack)", got)
+	}
+	if rt := counters[0].FragsRetrans.Load(); rt != 0 {
+		t.Errorf("sender retransmitted %d frames waiting for the delayed ack", rt)
+	}
+}
+
+// TestUDPAckEveryOtherFrame streams four windows of one-way messages
+// with the delayed-ack timer parked far out (MinRTO/8 = 125ms): the
+// second owed frame must be acked at once, or the sender's window
+// would stall on the timer after every 32 frames.
+func TestUDPAckEveryOtherFrame(t *testing.T) {
+	e0, e1, counters := newUDPPair(t, UDPOptions{RTO: time.Second, MinRTO: time.Second})
+	msgs := 4 * int(e0.window)
+	go func() {
+		for i := 0; i < msgs; i++ {
+			if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte{byte(i)}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < msgs; i++ {
+		if m, ok := recvTimeout(t, e1, 5*time.Second); !ok || m.Payload[0] != byte(i) {
+			t.Fatalf("message %d lost or out of order: ok=%v %+v", i, ok, m)
+		}
+	}
+	if acks := counters[1].AcksSent.Load(); acks < int64(msgs/2) || acks > int64(msgs) {
+		t.Fatalf("%d one-way frames drew %d standalone acks, want %d..%d", msgs, acks, msgs/2, msgs)
+	}
+}
+
+// TestUDPPiggybackNeverDupAck feeds a stream of reverse data frames
+// that all carry the same cumulative ack while data is outstanding.
+// Standalone acks like that would be duplicates and trigger fast
+// retransmit; piggybacked ones must only ever advance the window.
+func TestUDPPiggybackNeverDupAck(t *testing.T) {
+	e0, sink, counters := newUDPSinkEndpoint(t)
+	for i := 0; i < 6; i++ {
+		if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint32(0); seq < 3*dupAckThreshold; seq++ {
+		injectData(t, e0, sink, seq, 2)
+	}
+	ss := e0.sendsts[1]
+	ss.mu.Lock()
+	ackedTo, inFly, dups := ss.ackedTo, len(ss.inFly), ss.dupAcks
+	ss.mu.Unlock()
+	if ackedTo != 2 || inFly != 4 || dups != 0 {
+		t.Fatalf("ackedTo=%d inFly=%d dupAcks=%d, want 2, 4, 0", ackedTo, inFly, dups)
+	}
+	if fr := counters.FastRetrans.Load(); fr != 0 {
+		t.Fatalf("FastRetrans = %d after repeated piggybacked acks, want 0", fr)
+	}
+}
+
+// TestUDPPiggybackAckClamped injects a data frame whose piggybacked ack
+// lies beyond anything sent. It is clamped to nextSeq like a forged
+// standalone ack, so the unsigned window arithmetic cannot wrap and the
+// channel keeps admitting a full window.
+func TestUDPPiggybackAckClamped(t *testing.T) {
+	e0, sink, counters := newUDPSinkEndpoint(t)
+	for i := 0; i < 3; i++ {
+		if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	injectData(t, e0, sink, 0, 1<<31)
+	ss := e0.sendsts[1]
+	ss.mu.Lock()
+	ackedTo, nextSeq, inFly := ss.ackedTo, ss.nextSeq, len(ss.inFly)
+	ss.mu.Unlock()
+	if ackedTo != 3 || nextSeq != 3 || inFly != 0 {
+		t.Fatalf("after forged piggyback: ackedTo=%d nextSeq=%d inFly=%d, want 3, 3, 0", ackedTo, nextSeq, inFly)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < int(e0.window); i++ {
+			if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte{byte(i)}}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("window wedged after a forged piggybacked ack")
+	}
+	if fr := counters.FastRetrans.Load(); fr != 0 {
+		t.Errorf("FastRetrans = %d, want 0", fr)
+	}
+}
+
+// TestUDPFlushAfterReceiverClose has the receiver close while it still
+// owes the ack for the last message. Close must send it, or the
+// sender's Flush would wait on a rank that has exited. The timeouts are
+// parked far beyond the Flush deadline, so neither the delayed-ack
+// timer nor a retransmission can stand in for Close.
+func TestUDPFlushAfterReceiverClose(t *testing.T) {
+	e0, e1, counters := newUDPPair(t, UDPOptions{RTO: time.Second, MinRTO: time.Second})
+	if err := e0.Send(wire.Message{Type: wire.TJDiff, To: 1, Payload: []byte("last")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvTimeout(t, e1, 5*time.Second); !ok {
+		t.Fatal("message lost")
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e0.Flush(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters[1].AcksSent.Load(); got != 1 {
+		t.Errorf("closing receiver sent %d standalone acks, want 1", got)
+	}
 }

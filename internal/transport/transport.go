@@ -94,10 +94,14 @@ func Arrival(p platform.Profile, m wire.Message) time.Duration {
 // mailbox is an unbounded FIFO of messages; unbounded so that protocol
 // handlers can never deadlock on transport backpressure (the real system
 // relies on UDP buffering plus flow control for the same property).
+// The queue is a ring that grows by doubling and is otherwise reused,
+// so a steady put/get stream allocates nothing.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []wire.Message
+	ring   []wire.Message
+	head   int // index of the oldest message
+	n      int // messages queued
 	closed bool
 }
 
@@ -113,7 +117,14 @@ func (mb *mailbox) put(m wire.Message) bool {
 	if mb.closed {
 		return false
 	}
-	mb.queue = append(mb.queue, m)
+	if mb.n == len(mb.ring) {
+		grown := make([]wire.Message, max(16, 2*len(mb.ring)))
+		k := copy(grown, mb.ring[mb.head:])
+		copy(grown[k:], mb.ring[:mb.head])
+		mb.ring, mb.head = grown, 0
+	}
+	mb.ring[(mb.head+mb.n)%len(mb.ring)] = m
+	mb.n++
 	mb.cond.Signal()
 	return true
 }
@@ -121,14 +132,16 @@ func (mb *mailbox) put(m wire.Message) bool {
 func (mb *mailbox) get() (wire.Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed {
+	for mb.n == 0 && !mb.closed {
 		mb.cond.Wait()
 	}
-	if len(mb.queue) == 0 {
+	if mb.n == 0 {
 		return wire.Message{}, false
 	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
+	m := mb.ring[mb.head]
+	mb.ring[mb.head] = wire.Message{} // do not retain the payload
+	mb.head = (mb.head + 1) % len(mb.ring)
+	mb.n--
 	return m, true
 }
 

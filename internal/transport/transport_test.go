@@ -307,6 +307,60 @@ func TestMailboxUnbounded(t *testing.T) {
 	}
 }
 
+// TestMailboxRingOrderAndRelease keeps FIFO order across ring
+// wraparound and growth, and checks a popped slot no longer references
+// its message's payload.
+func TestMailboxRingOrderAndRelease(t *testing.T) {
+	mb := newMailbox()
+	next, want := 0, 0
+	put := func(k int) {
+		for ; k > 0; k-- {
+			mb.put(wire.Message{ReqID: uint64(next), Payload: []byte{byte(next)}})
+			next++
+		}
+	}
+	get := func(k int) {
+		for ; k > 0; k-- {
+			m, ok := mb.get()
+			if !ok || m.ReqID != uint64(want) {
+				t.Fatalf("got %d (ok=%v), want %d", m.ReqID, ok, want)
+			}
+			want++
+		}
+	}
+	put(10)
+	get(6)  // head mid-ring
+	put(40) // wraps, then grows while wrapped
+	get(44)
+	for i, m := range mb.ring {
+		if m.Payload != nil {
+			t.Fatalf("emptied ring slot %d still holds a payload", i)
+		}
+	}
+}
+
+// TestMailboxSteadyStateZeroAllocs pins the ring's reuse: once it has
+// grown to the working depth, put/get allocate nothing.
+func TestMailboxSteadyStateZeroAllocs(t *testing.T) {
+	mb := newMailbox()
+	m := wire.Message{Type: wire.TAck, Payload: []byte("x")}
+	for i := 0; i < 8; i++ {
+		mb.put(m)
+	}
+	for i := 0; i < 8; i++ {
+		mb.get()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		mb.put(m)
+		mb.put(m)
+		mb.get()
+		mb.get()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state put/get = %.1f allocs/run, want 0", allocs)
+	}
+}
+
 func TestEndpointsList(t *testing.T) {
 	c, _, _ := newTestMemCluster(3)
 	defer c.Close()

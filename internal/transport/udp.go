@@ -32,13 +32,26 @@ import (
 //   - FlowCumulative: the original fixed-RTO, cumulative-ack-only,
 //     go-back-N-style behaviour, kept as the measurable baseline for
 //     the `lotsbench -exp flowctl` comparison.
+//
+// Both modes share one ack policy, TCP's piggybacked and delayed acks
+// (RFC 1122 §4.2.3.2, RFC 5681 §4.2). Every data frame carries the
+// channel's cumulative ack in its header. An in-order frame that leaves
+// nothing buffered out of order only marks the channel "ack owed"; the
+// ack then leaves with the next data frame to that peer, with the
+// second owed frame (ack every other frame), or when the endpoint's
+// delayed-ack timer (minRTO/8) fires, whichever comes first. Duplicate,
+// out-of-window, out-of-order and gap-filling frames are acked at once
+// with a standalone ack frame, which is what drives SACK and fast
+// retransmit.
 
 const (
 	frameData = 1
 	frameAck  = 2
 
-	// flowHeaderLen: kind(1) + src(2) + seq(4) + ack(4). Ack frames
-	// additionally carry a sackLen-byte selective-ack bitmap as payload.
+	// flowHeaderLen: kind(1) + src(2) + seq(4) + ack(4). A data frame's
+	// ack field piggybacks the cumulative ack of the reverse channel.
+	// Ack frames additionally carry a sackLen-byte selective-ack bitmap
+	// as payload.
 	flowHeaderLen = 11
 
 	// sackBits is the width of the selective-ack bitmap: bit i of an
@@ -139,6 +152,13 @@ type UDPEndpoint struct {
 
 	inbox *mailbox
 
+	// ackDelay bounds how long an owed ack waits for a data frame to
+	// carry it; ackTimer is the endpoint's single delayed-ack timer,
+	// armed (ackArmed) while some channel owes an ack.
+	ackDelay time.Duration
+	ackTimer *time.Timer
+	ackArmed atomic.Bool
+
 	// readErrs counts failed socket reads; tests assert the read loop
 	// backs off instead of busy-spinning on a persistently failing
 	// socket.
@@ -220,7 +240,48 @@ type recvState struct {
 	ooo      map[uint32][]byte // buffered out-of-order fragments
 	oooHW    int               // high-water mark of len(ooo), for tests
 	reasm    *wire.Reassembler
+	acks     ackState
 }
+
+// ackState is the cumulative ack a channel owes its sender: expected
+// (high 32 bits) and the number of in-order frames received since an
+// ack last carried it (low 32 bits). One atomic word lets sendFrame
+// piggyback the ack, and the delayed-ack timer send it, without taking
+// recvState.mu; the receive path updates it under recvState.mu.
+type ackState struct{ v atomic.Uint64 }
+
+// take returns the cumulative ack and whether an ack was owed, clearing
+// the debt: the caller is about to send ack to the peer.
+func (a *ackState) take() (ack uint32, owed bool) {
+	for {
+		v := a.v.Load()
+		if uint32(v) == 0 {
+			return uint32(v >> 32), false
+		}
+		if a.v.CompareAndSwap(v, v>>32<<32) {
+			return uint32(v >> 32), true
+		}
+	}
+}
+
+// owe records one more in-order frame received through ack. It reports
+// true, clearing the debt, when that makes two frames owed: the caller
+// must send the ack now.
+func (a *ackState) owe(ack uint32) bool {
+	for {
+		v := a.v.Load()
+		if uint32(v) > 0 {
+			if a.v.CompareAndSwap(v, uint64(ack)<<32) {
+				return true
+			}
+		} else if a.v.CompareAndSwap(v, uint64(ack)<<32|1) {
+			return false
+		}
+	}
+}
+
+// settle records that a standalone ack carrying ack is being sent.
+func (a *ackState) settle(ack uint32) { a.v.Store(uint64(ack) << 32) }
 
 // NewUDPEndpoint binds node me at addrs[me] and prepares channels to
 // every peer. counters may be nil.
@@ -296,6 +357,7 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 		flow:         o.Flow,
 		onRetransmit: o.OnRetransmit,
 		inbox:        newMailbox(),
+		ackDelay:     minRTO / 8,
 		readDone:     make(chan struct{}),
 		retransKick:  make(chan struct{}, 1),
 		sendsts:      make([]*sendState, n),
@@ -305,6 +367,8 @@ func NewUDPEndpointDeferred(me, n int, bind string, o UDPOptions) (*UDPEndpoint,
 	if o.Chaos != nil {
 		e.chaos = newPacketChaos(*o.Chaos, me, e.rawWrite)
 	}
+	e.ackTimer = time.AfterFunc(e.ackDelay, e.sendOwedAcks)
+	e.ackTimer.Stop()
 	for i := 0; i < n; i++ {
 		ss := &sendState{inFly: make(map[uint32]*flight)}
 		ss.cond = sync.NewCond(&ss.mu)
@@ -446,14 +510,20 @@ func (e *UDPEndpoint) sendFrame(ss *sendState, to uint16, frame []byte) error {
 	}
 	seq := ss.nextSeq
 	ss.nextSeq++
+	// Piggyback the reverse channel's cumulative ack, settling any ack
+	// owed to this peer.
+	ack, owed := e.recvsts[to].acks.take()
 	frame[0] = frameData
 	binary.LittleEndian.PutUint16(frame[1:], uint16(e.id))
 	binary.LittleEndian.PutUint32(frame[3:], seq)
-	binary.LittleEndian.PutUint32(frame[7:], 0)
+	binary.LittleEndian.PutUint32(frame[7:], ack)
 	fl := newFlight(frame)
 	ss.inFly[seq] = fl
 	fl.acquire() // for the write below
 	ss.mu.Unlock()
+	if owed && e.counters != nil {
+		e.counters.AcksPiggybacked.Add(1)
+	}
 	if e.inFlight.Add(1) == 1 {
 		// Idle -> busy: wake the retransmission loop onto its fast
 		// cadence without waiting out the idle tick.
@@ -570,6 +640,7 @@ func (e *UDPEndpoint) readLoop() {
 		case frameAck:
 			e.handleAck(int(f.src), f.ack, f.sack)
 		case frameData:
+			e.piggybackAck(int(f.src), f.ack)
 			// The fragment must be copied out of the read buffer before
 			// the next socket read; the copy is pooled and released by
 			// handleData once consumed (or dropped).
@@ -618,6 +689,49 @@ func (e *UDPEndpoint) channelRTO(ss *sendState) time.Duration {
 	return ss.rto
 }
 
+// advanceTo moves the window's cumulative ack up to ackTo (> ackedTo),
+// releasing the frames it covers, and returns how many it released.
+// ss.mu must be held.
+func (e *UDPEndpoint) advanceTo(ss *sendState, ackTo uint32, now time.Time) int {
+	released := 0
+	for s := ss.ackedTo; s < ackTo; s++ {
+		if fl := ss.inFly[s]; fl != nil {
+			if e.flow == FlowAdaptiveSACK && !fl.retx {
+				e.sampleRTT(ss, now.Sub(fl.sentAt))
+			}
+			delete(ss.inFly, s)
+			fl.release() // drop the window table's reference
+			released++
+		}
+	}
+	ss.ackedTo = ackTo
+	ss.retries = 0
+	ss.dupAcks = 0
+	ss.cond.Broadcast()
+	return released
+}
+
+// piggybackAck applies the cumulative ack a data frame carries. It may
+// only advance the window: it carries no SACK, and it never counts as
+// a duplicate, since data frames leave from many goroutines and their
+// ack fields repeat and arrive out of order as a matter of course.
+func (e *UDPEndpoint) piggybackAck(from int, ackTo uint32) {
+	ss := e.sendsts[from]
+	ss.mu.Lock()
+	// Clamped like any forged ack (see handleAck).
+	ackTo = min(ackTo, ss.nextSeq)
+	released := 0
+	if ackTo > ss.ackedTo {
+		released = e.advanceTo(ss, ackTo, time.Now())
+	}
+	ss.mu.Unlock()
+	if released > 0 {
+		e.inFlight.Add(int64(-released))
+	}
+}
+
+// handleAck processes a standalone ack frame: the cumulative ack, the
+// selective-ack bitmap and duplicate-ack counting.
 func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64) {
 	ss := e.sendsts[from]
 	ss.mu.Lock()
@@ -636,20 +750,7 @@ func (e *UDPEndpoint) handleAck(from int, ackTo uint32, sack uint64) {
 	released := 0
 	advanced := ackTo > ss.ackedTo
 	if advanced {
-		for s := ss.ackedTo; s < ackTo; s++ {
-			if fl := ss.inFly[s]; fl != nil {
-				if e.flow == FlowAdaptiveSACK && !fl.retx {
-					e.sampleRTT(ss, now.Sub(fl.sentAt))
-				}
-				delete(ss.inFly, s)
-				fl.release() // drop the window table's reference
-				released++
-			}
-		}
-		ss.ackedTo = ackTo
-		ss.retries = 0
-		ss.dupAcks = 0
-		ss.cond.Broadcast()
+		released = e.advanceTo(ss, ackTo, now)
 	}
 	var fastResend *flight
 	if e.flow == FlowAdaptiveSACK {
@@ -724,6 +825,8 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 	}
 	// Drain the in-order prefix into the reassembler; each pooled
 	// fragment copy is released once the reassembler has consumed it.
+	inOrder := seq == rs.expected
+	drained := 0
 	var completed []wire.Message
 	for {
 		p, ok := rs.ooo[rs.expected]
@@ -732,6 +835,7 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 		}
 		delete(rs.ooo, rs.expected)
 		rs.expected++
+		drained++
 		m, done, err := rs.reasm.Feed(p)
 		wire.PutSlab(p)
 		if err == nil && done {
@@ -749,17 +853,19 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 			}
 		}
 	}
+	// A frame that arrived in order and left nothing buffered only runs
+	// up the ack debt; everything else — a duplicate, an out-of-window
+	// or out-of-order frame, or one filling a gap — is acked at once, so
+	// the sender's SACK and fast-retransmit machinery hears of it.
+	// Duplicates re-acking is also what heals a lost ack: the sender's
+	// retransmission provokes a fresh one.
+	ackNow := true
+	if inOrder && drained == 1 && len(rs.ooo) == 0 {
+		ackNow = rs.acks.owe(ackTo)
+	} else {
+		rs.acks.settle(ackTo)
+	}
 	rs.mu.Unlock()
-
-	// Cumulative ack for everything in order so far, plus the selective
-	// bitmap for what is buffered beyond it. Duplicated and reordered
-	// data frames re-ack too, which is what heals a lost ack: the
-	// sender's retransmission provokes a fresh one. The ack frame is
-	// pooled; the chaos layer (when present) copies what it delays, so
-	// releasing after the write is safe.
-	ack := appendAckFrame(wire.GetSlab(flowHeaderLen+sackLen), uint16(e.id), ackTo, sack)
-	e.writeTo(from, ack)
-	wire.PutSlab(ack)
 
 	for _, m := range completed {
 		if e.counters != nil {
@@ -767,6 +873,38 @@ func (e *UDPEndpoint) handleData(from int, seq uint32, payload []byte) {
 			e.counters.BytesRecv.Add(int64(wire.EncodedLen(m)))
 		}
 		e.inbox.put(m)
+	}
+	if ackNow {
+		e.writeAck(from, ackTo, sack)
+	} else if e.ackArmed.CompareAndSwap(false, true) {
+		e.ackTimer.Reset(e.ackDelay)
+	}
+}
+
+// writeAck sends a standalone ack frame: the cumulative ack plus the
+// selective bitmap for what is buffered beyond it. The frame is pooled;
+// the chaos layer (when present) copies what it delays, so releasing
+// after the write is safe.
+func (e *UDPEndpoint) writeAck(peer int, ackTo uint32, sack uint64) {
+	if e.counters != nil {
+		e.counters.AcksSent.Add(1)
+	}
+	ack := appendAckFrame(wire.GetSlab(flowHeaderLen+sackLen), uint16(e.id), ackTo, sack)
+	e.writeTo(peer, ack)
+	wire.PutSlab(ack)
+}
+
+// sendOwedAcks writes a standalone ack on every channel that still owes
+// one. It is the delayed-ack timer's body, and Close runs it so a peer
+// flushing toward this node is not left waiting on a closed socket.
+func (e *UDPEndpoint) sendOwedAcks() {
+	// Disarm before the scan: a channel that falls into debt after its
+	// slot was scanned re-arms the timer.
+	e.ackArmed.Store(false)
+	for peer, rs := range e.recvsts {
+		if ack, owed := rs.acks.take(); owed {
+			e.writeAck(peer, ack, 0)
+		}
 	}
 }
 
@@ -914,6 +1052,8 @@ func (e *UDPEndpoint) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
+	e.ackTimer.Stop()
+	e.sendOwedAcks()
 	close(e.done)
 	if e.chaos != nil {
 		e.chaos.close()

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/object"
+	"repro/internal/wire"
 )
 
 // counterWorkload drives the migratory counter used to validate every
@@ -53,6 +54,22 @@ func TestProtocolVariantsAllCorrect(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBarrierManagerExitsLast pins the reply order of the barrier
+// manager: its own exit goes last, so by the time its rank can leave
+// the barrier (and perhaps flush and exit the process) every peer's
+// exit is already in the transport. The peers keep arrival order.
+func TestBarrierManagerExitsLast(t *testing.T) {
+	msgs := []wire.Message{{From: 2}, {From: 0}, {From: 3}, {From: 1}}
+	selfLast(msgs, 0)
+	var got []uint16
+	for _, m := range msgs {
+		got = append(got, m.From)
+	}
+	if fmt.Sprint(got) != "[2 3 1 0]" {
+		t.Fatalf("reply order %v, want [2 3 1 0]", got)
 	}
 }
 
